@@ -2,14 +2,15 @@
 //   (a) keys-only permutation embedding vs key-value pair block sort,
 //   (b) bit-limited vs full 32-bit block sort,
 //   (c) CTA tile size sweep,
-//   (d) the adaptive (future-work) driver on a dense-like instance.
+//   (d) chunked SpGEMM under a forced device budget (the bounded-footprint
+//       answer to the paper's Dense OOM).
 #include <cstdio>
+#include <cstring>
 
 #include "analysis/experiment.hpp"
 #include "baselines/seq.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_adaptive.hpp"
-#include "core/spgemm_batched.hpp"
+#include "core/spgemm_chunked.hpp"
 #include "sparse/convert.hpp"
 #include "util/table.hpp"
 #include "workloads/generators.hpp"
@@ -64,51 +65,31 @@ int main() {
     std::puts("");
   }
 
-  // (c'): batching — the alternative answer to the paper's Dense OOM:
-  // process the intermediate in memory-bounded product batches and union
-  // the partial outputs.
+  // (d): chunked SpGEMM with each chunk's budget forced to 1/8 of the
+  // flat footprint estimate, so the pipeline runs over several row chunks;
+  // the stitched C must equal flat bit for bit.
   {
-    util::Table t("Ablation: batched SpGEMM (memory-ceiling lift)");
-    t.set_header({"Matrix", "batches", "spgemm ms", "combine ms", "vs monolithic"});
+    util::Table t("Ablation: chunked SpGEMM under a forced budget");
+    t.set_header({"Matrix", "chunks", "modeled ms", "vs flat", "bitwise"});
     for (const auto* name : {"Dense", "Cantilever"}) {
       const auto e = workloads::suite_entry(name, cfg.scale);
       vgpu::Device dev;
+      sparse::CsrD flat_c;
+      const auto flat = core::merge::spgemm(dev, e.matrix, e.matrix, flat_c);
+      core::merge::ChunkedConfig cc;
+      cc.chunk_bytes = static_cast<std::size_t>(5 * flat.num_products + 4096);
       sparse::CsrD c;
-      const auto mono = core::merge::spgemm(dev, e.matrix, e.matrix, c);
-      sparse::CsrD c2;
-      const auto bat = core::merge::spgemm_batched(
-          dev, e.matrix, e.matrix, c2,
-          std::max<long long>(mono.num_products / 8, 1));
-      t.add_row({name, util::fmt_int(bat.num_batches), util::fmt(bat.spgemm_ms, 3),
-                 util::fmt(bat.combine_ms, 3),
-                 util::fmt(bat.modeled_ms() / mono.modeled_ms(), 2) + "x"});
-    }
-    std::fputs(t.render().c_str(), stdout);
-    std::puts("");
-  }
-
-  // (d): adaptive driver — dense-like instance goes segmented and beats
-  // the flat path; a sparse instance stays flat.
-  {
-    util::Table t("Ablation: adaptive SpGEMM (paper Section V future work)");
-    t.set_header({"Matrix", "path", "reason", "adaptive ms", "flat ms"});
-    for (const auto* name : {"Dense", "Cantilever", "Webbase"}) {
-      const auto e = workloads::suite_entry(name, cfg.scale);
-      vgpu::Device dev;
-      sparse::CsrD c;
-      const auto s = core::merge::spgemm_adaptive(dev, e.matrix, e.matrix, c);
-      double flat_ms = -1.0;
-      if (std::string(name) != "Dense") {
-        sparse::CsrD c2;
-        flat_ms = core::merge::spgemm(dev, e.matrix, e.matrix, c2).modeled_ms();
-      } else {
-        // Flat Dense at native scale is the paper's OOM case; at bench
-        // scale we can still time it for comparison.
-        sparse::CsrD c2;
-        flat_ms = core::merge::spgemm(dev, e.matrix, e.matrix, c2).modeled_ms();
-      }
-      t.add_row({name, s.used_segmented ? "segmented" : "flat", s.reason,
-                 util::fmt(s.modeled_ms, 3), util::fmt(flat_ms, 3)});
+      const auto s =
+          core::merge::spgemm_chunked(dev, e.matrix, e.matrix, c, cc);
+      const bool bitwise =
+          c.row_offsets == flat_c.row_offsets && c.col == flat_c.col &&
+          c.val.size() == flat_c.val.size() &&
+          std::memcmp(c.val.data(), flat_c.val.data(),
+                      c.val.size() * sizeof(double)) == 0;
+      t.add_row({name, util::fmt_int(s.num_chunks),
+                 util::fmt(s.modeled_ms(), 3),
+                 util::fmt(s.modeled_ms() / flat.modeled_ms(), 2) + "x",
+                 bitwise ? "yes" : "no"});
     }
     std::fputs(t.render().c_str(), stdout);
   }

@@ -479,6 +479,21 @@ double spgemm_numeric(vgpu::Device& device, const CsrD& a, const CsrD& b,
   return modeled_ms;
 }
 
+std::vector<std::uint64_t> row_product_prefix(const CsrD& a, const CsrD& b) {
+  MPS_CHECK(a.num_cols == b.num_rows);
+  const auto num_rows = static_cast<std::size_t>(a.num_rows);
+  std::vector<std::uint64_t> prefix(num_rows + 1, 0);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    std::uint64_t row_products = 0;
+    for (index_t k = a.row_offsets[r]; k < a.row_offsets[r + 1]; ++k) {
+      row_products += static_cast<std::uint64_t>(
+          b.row_length(a.col[static_cast<std::size_t>(k)]));
+    }
+    prefix[r + 1] = prefix[r] + row_products;
+  }
+  return prefix;
+}
+
 SpgemmStats spgemm(vgpu::Device& device, const CsrD& a, const CsrD& b, CsrD& c,
                    const SpgemmConfig& cfg) {
   util::WallTimer wall;

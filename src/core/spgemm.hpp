@@ -42,10 +42,11 @@ struct SpgemmConfig {
   bool force_full_bits = false;
   /// Global product index of this instance's first product.  The CTA
   /// tiling is aligned so boundaries fall at multiples of tile() in the
-  /// *global* product stream; spgemm_chunked passes each chunk's product
-  /// prefix here so per-tuple partial-sum grouping — and therefore every
-  /// floating-point sum — matches the flat path bit for bit.  Leave 0
-  /// for standalone use.
+  /// *global* product stream; a row slice of A passes its entry of
+  /// row_product_prefix() here (spgemm_chunked adds each chunk's to the
+  /// origin it was given, shard::spgemm gives each slice its own) so
+  /// per-tuple partial-sum grouping — and therefore every floating-point
+  /// sum — matches the flat path bit for bit.  Leave 0 for standalone use.
   std::uint64_t product_origin = 0;
   int tile() const { return block_threads * items_per_thread; }
 };
@@ -75,11 +76,20 @@ struct SpgemmStats {
 
 /// C = A x B.  Throws vgpu::DeviceOomError when the intermediate exceeds
 /// device memory (the paper's Dense case in Fig 9); on any throw, device
-/// accounting is restored and `c` is untouched (strong guarantee) — see
-/// spgemm_chunked.hpp for the bounded-footprint fallback.
+/// accounting is restored and `c` is untouched (strong guarantee).
+/// Callers that must not overflow use spgemm_chunked.hpp, the
+/// bounded-footprint entry point that runs this pipeline per row chunk.
 SpgemmStats spgemm(vgpu::Device& device, const sparse::CsrD& a,
                    const sparse::CsrD& b, sparse::CsrD& c,
                    const SpgemmConfig& cfg = {});
+
+/// Per-row intermediate-product prefix of A x B: entry r is the index of
+/// row r's first product in the flat product stream, entry a.num_rows the
+/// total (num_rows + 1 entries).  The upper bound on each row's work that
+/// sizes a row range before anything is allocated — spgemm_chunked's
+/// chunks and shard::spgemm's slices — and each range's product_origin.
+std::vector<std::uint64_t> row_product_prefix(const sparse::CsrD& a,
+                                              const sparse::CsrD& b);
 
 /// Reusable symbolic state: everything that depends only on the sparsity
 /// patterns of A and B.  Amortizes the setup/block-sort/global-sort work

@@ -1,7 +1,7 @@
 #include "core/spgemm_chunked.hpp"
 
-#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "resilience/integrity.hpp"
@@ -23,12 +23,31 @@ std::size_t chunk_footprint(std::uint64_t n_prod, std::uint64_t a_nnz) {
   return static_cast<std::size_t>(40 * n_prod + 16 * a_nnz + 4096);
 }
 
+/// End row of the chunk starting at r0.  Greedy: extend the chunk while
+/// its estimated footprint fits the budget; a row is the atomic unit, so
+/// a chunk always takes at least one row even when that row alone
+/// overshoots (the per-chunk pipeline then reports the genuine OOM).
+std::size_t chunk_end(const CsrD& a, std::span<const std::uint64_t> prefix,
+                      std::size_t r0, std::size_t budget) {
+  const auto num_rows = static_cast<std::size_t>(a.num_rows);
+  std::size_t r1 = r0 + 1;
+  while (r1 < num_rows &&
+         chunk_footprint(prefix[r1 + 1] - prefix[r0],
+                         static_cast<std::uint64_t>(a.row_offsets[r1 + 1] -
+                                                    a.row_offsets[r0])) <=
+             budget) {
+    ++r1;
+  }
+  return r1;
+}
+
 }  // namespace
 
 ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
                                   const CsrD& b, CsrD& c,
                                   const ChunkedConfig& cfg) {
   MPS_CHECK(a.num_cols == b.num_rows);
+  // Chunk sizing reads A's structure, so strict mode validates first.
   if (sparse::strict_validation()) {
     sparse::validate_csr(a, "spgemm_chunked: A");
     sparse::validate_csr(b, "spgemm_chunked: B");
@@ -36,61 +55,38 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
   util::WallTimer wall;
   ChunkedSpgemmStats stats;
 
-  // Per-row product prefix: P[r] = global product index of row r's first
-  // intermediate product.  This is both the chunking measure and each
-  // chunk's product_origin.
-  const auto num_rows = static_cast<std::size_t>(a.num_rows);
-  std::vector<std::uint64_t> P(num_rows + 1, 0);
-  for (std::size_t r = 0; r < num_rows; ++r) {
-    std::uint64_t row_products = 0;
-    for (index_t k = a.row_offsets[r]; k < a.row_offsets[r + 1]; ++k) {
-      row_products +=
-          static_cast<std::uint64_t>(b.row_length(a.col[static_cast<std::size_t>(k)]));
-    }
-    P[r + 1] = P[r] + row_products;
-  }
-  stats.num_products = static_cast<long long>(P[num_rows]);
+  // prefix[r] is both the chunking measure and, offset by the caller's
+  // origin, each chunk's product_origin.
+  const std::vector<std::uint64_t> prefix = row_product_prefix(a, b);
+  stats.num_products = static_cast<long long>(prefix.back());
 
   const std::size_t free_bytes =
       device.memory().capacity() - device.memory().in_use();
   stats.chunk_budget_bytes =
-      cfg.chunk_bytes > 0
-          ? cfg.chunk_bytes
-          : static_cast<std::size_t>(cfg.memory_fraction *
-                                     static_cast<double>(free_bytes));
+      cfg.chunk_bytes > 0 ? cfg.chunk_bytes : free_bytes / 2;
+
+  const auto num_rows = static_cast<std::size_t>(a.num_rows);
+  if (chunk_end(a, prefix, 0, stats.chunk_budget_bytes) >= num_rows) {
+    // One chunk covers A: the flat pipeline on A itself.
+    const SpgemmStats flat = spgemm(device, a, b, c, cfg.flat);
+    stats.num_chunks = 1;
+    stats.phases = flat.phases;
+    stats.wall_ms = wall.milliseconds();
+    return stats;
+  }
 
   // Built locally and assigned to `c` only on success (strong guarantee).
-  CsrD out(a.num_rows, b.num_cols);
-
-  std::size_t r0 = 0;
-  while (r0 < num_rows) {
-    // Greedy: extend the chunk while its estimated footprint fits the
-    // budget; a row is the atomic unit, so a chunk always takes at least
-    // one row even when that row alone overshoots (the per-chunk pipeline
-    // then reports the genuine OOM).
-    std::size_t r1 = r0 + 1;
-    while (r1 < num_rows &&
-           chunk_footprint(P[r1 + 1] - P[r0],
-                           static_cast<std::uint64_t>(a.row_offsets[r1 + 1] -
-                                                      a.row_offsets[r0])) <=
-               stats.chunk_budget_bytes) {
-      ++r1;
-    }
-
-    // Slice rows [r0, r1) of A: rebased offsets, shared column/value data.
-    CsrD sub(static_cast<index_t>(r1 - r0), a.num_cols);
-    const index_t k0 = a.row_offsets[r0];
-    const index_t k1 = a.row_offsets[r1];
-    for (std::size_t r = r0; r <= r1; ++r) {
-      sub.row_offsets[r - r0] = a.row_offsets[r] - k0;
-    }
-    sub.col.assign(a.col.begin() + k0, a.col.begin() + k1);
-    sub.val.assign(a.val.begin() + k0, a.val.begin() + k1);
-
+  CsrD out(0, b.num_cols);
+  for (std::size_t r0 = 0; r0 < num_rows;) {
+    const std::size_t r1 = chunk_end(a, prefix, r0, stats.chunk_budget_bytes);
     SpgemmConfig chunk_cfg = cfg.flat;
-    chunk_cfg.product_origin = P[r0];
+    chunk_cfg.product_origin += prefix[r0];
     CsrD c_sub;
-    const SpgemmStats sub_stats = spgemm(device, sub, b, c_sub, chunk_cfg);
+    const SpgemmStats sub_stats =
+        spgemm(device,
+               sparse::row_slice(a, static_cast<index_t>(r0),
+                                 static_cast<index_t>(r1)),
+               b, c_sub, chunk_cfg);
 
     stats.phases.setup_ms += sub_stats.phases.setup_ms;
     stats.phases.block_sort_ms += sub_stats.phases.block_sort_ms;
@@ -99,14 +95,7 @@ ChunkedSpgemmStats spgemm_chunked(vgpu::Device& device, const CsrD& a,
     stats.phases.product_reduce_ms += sub_stats.phases.product_reduce_ms;
     stats.phases.other_ms += sub_stats.phases.other_ms;
 
-    // Stitch: chunk-local rows r - r0 land at global rows r.
-    const index_t base = static_cast<index_t>(out.col.size());
-    for (std::size_t r = r0; r < r1; ++r) {
-      out.row_offsets[r + 1] = base + c_sub.row_offsets[r - r0 + 1];
-    }
-    out.col.insert(out.col.end(), c_sub.col.begin(), c_sub.col.end());
-    out.val.insert(out.val.end(), c_sub.val.begin(), c_sub.val.end());
-
+    sparse::append_rows(out, c_sub);
     ++stats.num_chunks;
     r0 = r1;
   }

@@ -1,23 +1,25 @@
 #pragma once
-// Chunked merge-path SpGEMM: the OOM-graceful fallback for the paper's
-// Dense case, where the flat pipeline's intermediate product stream does
-// not fit in device memory.
+// Chunked merge-path SpGEMM: the one SpGEMM entry point with a bounded
+// device footprint, the answer to the paper's Dense case (Fig 9), where
+// the flat pipeline's intermediate product stream does not fit in device
+// memory.  The serving engine and every shard::spgemm slice run here.
 //
-// A is split into contiguous whole-row chunks sized so each chunk's
-// device footprint stays under a configurable budget; the flat merge
-// pipeline runs per chunk and the per-chunk outputs are stitched into C.
+// row_product_prefix() sizes A's rows before anything is allocated; A is
+// split into contiguous whole-row chunks whose estimated device footprint
+// stays under a budget, the flat merge pipeline runs per chunk, and the
+// per-chunk outputs are stitched into C.  When one chunk covers all of A
+// this is exactly spgemm() on A itself: no copies, identical modeled cost.
 //
 // The stitched result is BITWISE identical to the flat path's:
 //
 //   * chunks are whole-row ranges, so every output tuple's intermediate
 //     products live entirely inside one chunk — no partial sum ever
 //     crosses a chunk boundary;
-//   * each chunk passes its global product prefix as
-//     SpgemmConfig::product_origin, aligning CTA tile boundaries to the
-//     *global* product stream; the per-tuple partial-sum grouping (which
-//     products each CTA reduces together) therefore matches flat
-//     exactly, and floating-point sums follow the identical association
-//     order.
+//   * each chunk adds its product prefix to SpgemmConfig::product_origin,
+//     aligning CTA tile boundaries to the *global* product stream; the
+//     per-tuple partial-sum grouping (which products each CTA reduces
+//     together) therefore matches flat exactly, and floating-point sums
+//     follow the identical association order.
 //
 // Throws vgpu::DeviceOomError only when a single row's expansion alone
 // exceeds the budgetable memory (rows are the atomic unit).
@@ -31,14 +33,13 @@
 namespace mps::core::merge {
 
 struct ChunkedConfig {
-  SpgemmConfig flat;  ///< geometry forwarded to each chunk's pipeline
-  /// Absolute per-chunk device budget in bytes; 0 derives the budget
-  /// from free device memory via memory_fraction.
+  /// Geometry forwarded to each chunk's pipeline; its product_origin is
+  /// the global index of A's first product (non-zero for a row slice).
+  SpgemmConfig flat;
+  /// Absolute per-chunk device budget in bytes; 0 derives the budget as
+  /// half the device's free memory at call time (the headroom covers the
+  /// sort's transient allocations being estimates, not exact charges).
   std::size_t chunk_bytes = 0;
-  /// Fraction of free device memory each chunk may claim (used when
-  /// chunk_bytes == 0).  Below 1.0 leaves headroom for the sort's
-  /// transient allocations being estimates, not exact charges.
-  double memory_fraction = 0.5;
 };
 
 struct ChunkedSpgemmStats {

@@ -51,8 +51,6 @@
 // The paper's kernels.
 #include "core/spadd.hpp"            // IWYU pragma: export
 #include "core/spgemm.hpp"           // IWYU pragma: export
-#include "core/spgemm_adaptive.hpp"  // IWYU pragma: export
-#include "core/spgemm_batched.hpp"   // IWYU pragma: export
 #include "core/spgemm_chunked.hpp"   // IWYU pragma: export
 #include "core/spmm.hpp"             // IWYU pragma: export
 #include "core/spmv.hpp"             // IWYU pragma: export

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/spadd.hpp"
-#include "core/spgemm.hpp"
+#include "core/spgemm_chunked.hpp"
 #include "core/spmm.hpp"
 #include "shard/exec.hpp"
 #include "telemetry/flight.hpp"
@@ -1674,7 +1674,7 @@ void Engine::execute_matrix_op(Request& req, Lease& lease) {
                     .modeled_ms;
           } else {
             result.modeled_ms =
-                core::merge::spgemm(device, *req.a, *req.b, result.c)
+                core::merge::spgemm_chunked(device, *req.a, *req.b, result.c)
                     .modeled_ms();
           }
         }

@@ -1,11 +1,10 @@
 #include "shard/exec.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "core/spadd.hpp"
-#include "core/spgemm.hpp"
+#include "core/spgemm_chunked.hpp"
 #include "core/spmm.hpp"
 #include "telemetry/profile.hpp"
 #include "telemetry/span.hpp"
@@ -159,18 +158,6 @@ ExecStats run_rowwise(const ShardedMatrix& sm,
                 static_cast<int>(sm.shards().size()));
 }
 
-/// Concatenate `sub`'s rows onto `c` (columns already global).
-void append_rows(sparse::CsrD& c, const sparse::CsrD& sub) {
-  const index_t base = c.nnz();
-  for (index_t r = 0; r < sub.num_rows; ++r) {
-    c.row_offsets.push_back(base +
-                            sub.row_offsets[static_cast<std::size_t>(r) + 1]);
-  }
-  c.num_rows += sub.num_rows;
-  c.col.insert(c.col.end(), sub.col.begin(), sub.col.end());
-  c.val.insert(c.val.end(), sub.val.begin(), sub.val.end());
-}
-
 }  // namespace
 
 ExecStats spmv(const ShardedMatrix& sm, std::span<vgpu::Device* const> devices,
@@ -274,7 +261,7 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
     } catch (const vgpu::DeviceLostError& e) {
       rethrow_as_shard_loss(e, ordinals[i]);
     }
-    append_rows(out, sub_c);
+    sparse::append_rows(out, sub_c);
     busy[static_cast<std::size_t>(ordinals[i])] += ms;
     sum_ms += ms;
     if (prof) samples.push_back({i, ordinals[i], ms});
@@ -300,25 +287,11 @@ ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
                  sparse::CsrD& c) {
   MPS_CHECK(a.num_cols == b.num_rows);
   MPS_CHECK(!weights.empty() && weights.size() == ordinals.size());
-  // Intermediate-product staircase: P[r] = products emitted before row r.
-  std::vector<long long> prods(static_cast<std::size_t>(a.num_rows) + 1, 0);
-  for (index_t r = 0; r < a.num_rows; ++r) {
-    long long row_prods = 0;
-    for (index_t k = a.row_offsets[static_cast<std::size_t>(r)];
-         k < a.row_offsets[static_cast<std::size_t>(r) + 1]; ++k) {
-      row_prods += b.row_length(a.col[static_cast<std::size_t>(k)]);
-    }
-    prods[static_cast<std::size_t>(r) + 1] =
-        prods[static_cast<std::size_t>(r)] + row_prods;
-  }
-  MPS_CHECK_MSG(prods.back() <= static_cast<long long>(
-                                    std::numeric_limits<index_t>::max()),
-                "sharded spgemm: product count exceeds index range");
-  std::vector<index_t> pi(prods.size());
-  for (std::size_t r = 0; r < prods.size(); ++r) {
-    pi[r] = static_cast<index_t>(prods[r]);
-  }
-  const auto blocks = partition_rows(pi, weights);
+  // Intermediate-product staircase: prods[r] = products emitted before
+  // row r, both the cut measure and each slice's product origin.
+  const std::vector<std::uint64_t> prods =
+      core::merge::row_product_prefix(a, b);
+  const auto blocks = partition_rows(prods, weights);
 
   sparse::CsrD out(0, b.num_cols);
   std::vector<double> busy(devices.size(), 0.0);
@@ -345,9 +318,8 @@ ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
     }
     first_active = false;
     const sparse::CsrD sub_a = sparse::row_slice(a, blk.row_begin, blk.row_end);
-    core::merge::SpgemmConfig cfg;
-    cfg.product_origin = static_cast<std::uint64_t>(
-        prods[static_cast<std::size_t>(blk.row_begin)]);
+    core::merge::ChunkedConfig cfg;
+    cfg.flat.product_origin = prods[static_cast<std::size_t>(blk.row_begin)];
     sparse::CsrD sub_c;
     double ms = 0.0;
     try {
@@ -358,14 +330,16 @@ ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
         attr.device = ordinals[i];
         attr.phase = "shard.spgemm";
         telemetry::ProfAttrScope scope(attr);
-        ms = core::merge::spgemm(dev, sub_a, b, sub_c, cfg).modeled_ms();
+        ms = core::merge::spgemm_chunked(dev, sub_a, b, sub_c, cfg)
+                 .modeled_ms();
       } else {
-        ms = core::merge::spgemm(dev, sub_a, b, sub_c, cfg).modeled_ms();
+        ms = core::merge::spgemm_chunked(dev, sub_a, b, sub_c, cfg)
+                 .modeled_ms();
       }
     } catch (const vgpu::DeviceLostError& e) {
       rethrow_as_shard_loss(e, ordinals[i]);
     }
-    append_rows(out, sub_c);
+    sparse::append_rows(out, sub_c);
     busy[static_cast<std::size_t>(ordinals[i])] += ms;
     sum_ms += ms;
     if (prof) samples.push_back({i, ordinals[i], shard_halo + ms});

@@ -9,11 +9,11 @@
 // so the gather order cannot perturb the result.  SpMV/SpMM outputs are
 // bitwise identical to single-device execution (the monotone-remap
 // argument in sharded_matrix.hpp); SpAdd row-slices both inputs so each
-// output row is produced by exactly one device's kernel; SpGEMM passes
-// each slice's global product prefix as SpgemmConfig::product_origin —
-// the spgemm_chunked mechanism — so CTA tile boundaries, partial-sum
-// grouping, and therefore every floating-point sum match the flat path
-// bit for bit.
+// output row is produced by exactly one device's kernel; SpGEMM runs
+// each slice through core::merge::spgemm_chunked with the slice's global
+// product prefix as its product origin, so CTA tile boundaries,
+// partial-sum grouping, and therefore every floating-point sum match the
+// flat path bit for bit — also when a slice splits into chunks itself.
 //
 // Shards run sequentially on the calling thread (CTA-level parallelism
 // already fans out through the device's pool); ExecStats::modeled_ms
@@ -101,11 +101,12 @@ ExecStats spadd(const sparse::CsrD& a, const sparse::CsrD& b,
                 std::span<const int> ordinals, std::span<const double> weights,
                 sparse::CsrD& c);
 
-/// C = A B, row-partitioned on the intermediate-product staircase.  Each
-/// slice multiplies against a full replica of B (replication for shards
-/// past the first is the modeled halo cost) with product_origin set to
-/// the slice's global product prefix, so the stitched C is bitwise
-/// identical to flat spgemm — the spgemm_chunked argument verbatim.
+/// C = A B, row-partitioned on the intermediate-product staircase
+/// (core::merge::row_product_prefix).  Each slice multiplies against a
+/// full replica of B (replication for shards past the first is the
+/// modeled halo cost) through spgemm_chunked, whose footprint stays within
+/// the slice device's free memory, with the slice's global product prefix
+/// as the origin, so the stitched C is bitwise identical to flat spgemm.
 ExecStats spgemm(const sparse::CsrD& a, const sparse::CsrD& b,
                  std::span<vgpu::Device* const> devices,
                  std::span<const int> ordinals, std::span<const double> weights,

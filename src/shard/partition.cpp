@@ -12,7 +12,8 @@ namespace {
 /// Rows consumed by the first `diag` steps of merging row-end offsets
 /// (A = offsets[1..rows]) with nonzero ordinals (B = 0..nnz-1, implicit).
 /// Same search and A-first tie convention as primitives::merge_path.
-index_t diagonal_row(std::span<const index_t> offsets, long long diag) {
+template <typename Offset>
+index_t diagonal_row(std::span<const Offset> offsets, long long diag) {
   const long long rows = static_cast<long long>(offsets.size()) - 1;
   const long long nnz = static_cast<long long>(offsets[offsets.size() - 1]);
   long long lo = std::max(0ll, diag - nnz);
@@ -29,10 +30,9 @@ index_t diagonal_row(std::span<const index_t> offsets, long long diag) {
   return static_cast<index_t>(lo);
 }
 
-}  // namespace
-
-std::vector<RowBlock> partition_rows(std::span<const index_t> row_end_offsets,
-                                     std::span<const double> weights) {
+template <typename Offset>
+std::vector<RowBlock> cut_staircase(std::span<const Offset> row_end_offsets,
+                                    std::span<const double> weights) {
   MPS_CHECK(!row_end_offsets.empty());
   MPS_CHECK(!weights.empty());
   double total_weight = 0.0;
@@ -74,6 +74,19 @@ std::vector<RowBlock> partition_rows(std::span<const index_t> row_end_offsets,
     prev_row = row_end;
   }
   return blocks;
+}
+
+}  // namespace
+
+std::vector<RowBlock> partition_rows(std::span<const index_t> row_end_offsets,
+                                     std::span<const double> weights) {
+  return cut_staircase(row_end_offsets, weights);
+}
+
+std::vector<RowBlock> partition_rows(
+    std::span<const std::uint64_t> row_end_offsets,
+    std::span<const double> weights) {
+  return cut_staircase(row_end_offsets, weights);
 }
 
 std::vector<RowBlock> partition_rows(std::span<const index_t> row_end_offsets,

@@ -18,6 +18,7 @@
 // merging row-end offsets with nonzero ordinals consumes exactly r row
 // boundaries in the first d steps.
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -39,6 +40,13 @@ struct RowBlock {
 /// offsets and weights.
 std::vector<RowBlock> partition_rows(std::span<const index_t> row_end_offsets,
                                      std::span<const double> weights);
+
+/// The same cut over a 64-bit staircase: shard::spgemm cuts on
+/// core::merge::row_product_prefix, whose product counts can exceed
+/// index_t.
+std::vector<RowBlock> partition_rows(
+    std::span<const std::uint64_t> row_end_offsets,
+    std::span<const double> weights);
 
 /// Uniform-weight convenience: num_blocks equal diagonal spans.
 std::vector<RowBlock> partition_rows(std::span<const index_t> row_end_offsets,

@@ -74,7 +74,7 @@ using CsrD = CsrMatrix<double>;
 /// rebased offsets and ORIGINAL column ids (num_cols is preserved).
 /// The building block of chunked/sharded matrix ops (core/spgemm_chunked,
 /// src/shard): per-slice kernel output stitches back into the full
-/// result because columns keep their global meaning.
+/// result (append_rows) because columns keep their global meaning.
 template <typename V>
 CsrMatrix<V> row_slice(const CsrMatrix<V>& a, index_t row_begin,
                        index_t row_end) {
@@ -91,6 +91,21 @@ CsrMatrix<V> row_slice(const CsrMatrix<V>& a, index_t row_begin,
   sub.col.assign(a.col.begin() + k0, a.col.begin() + k1);
   sub.val.assign(a.val.begin() + k0, a.val.begin() + k1);
   return sub;
+}
+
+/// Append `sub`'s rows below `c`'s: the inverse of row_slice, stitching
+/// consecutive slice outputs (columns already global) back into one
+/// matrix.  Start from CsrMatrix<V>(0, num_cols).
+template <typename V>
+void append_rows(CsrMatrix<V>& c, const CsrMatrix<V>& sub) {
+  const index_t base = c.nnz();
+  for (index_t r = 0; r < sub.num_rows; ++r) {
+    c.row_offsets.push_back(base +
+                            sub.row_offsets[static_cast<std::size_t>(r) + 1]);
+  }
+  c.num_rows += sub.num_rows;
+  c.col.insert(c.col.end(), sub.col.begin(), sub.col.end());
+  c.val.insert(c.val.end(), sub.val.begin(), sub.val.end());
 }
 
 }  // namespace mps::sparse

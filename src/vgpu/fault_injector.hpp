@@ -24,7 +24,7 @@
 //     missed flips, never corrupted.
 //
 // Alloc-failure triggers fire exactly once and then disarm, so a caller
-// that catches the error and retries (spgemm_adaptive's oom-retry tier)
+// that catches the error and retries (the serving engine's RetryPolicy)
 // runs clean afterwards.  Counters are per-injector and deterministic:
 // the functional layer performs the same allocations in the same order
 // regardless of host thread count.

@@ -21,8 +21,6 @@
 #include "baselines/seq.hpp"
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_adaptive.hpp"
-#include "core/spgemm_batched.hpp"
 #include "core/spgemm_chunked.hpp"
 #include "core/spmm.hpp"
 #include "core/spmv.hpp"
@@ -316,28 +314,6 @@ TEST(FaultSweep, Spmm) {
       });
 }
 
-TEST(FaultSweep, SpgemmBatched) {
-  const CsrD a = medium_matrix(67);
-  const CsrD b = medium_matrix(71);
-  CsrD c;
-  sweep_alloc_failures(
-      [&](vgpu::Device& dev) {
-        // Small batch cap forces several batches plus combine passes, so
-        // the sweep covers the partial-output union machinery too.
-        core::merge::spgemm_batched(dev, a, b, c, /*max_products_per_batch=*/2000);
-      },
-      [&] {
-        c = CsrD(1, 1);
-        c.row_offsets = {0, 1};
-        c.col = {0};
-        c.val = {kSentinel};
-      },
-      [&] {
-        ASSERT_EQ(c.nnz(), 1);
-        ASSERT_EQ(c.val[0], kSentinel);
-      });
-}
-
 TEST(FaultSweep, AutotuneTrialProtocol) {
   // The tuner runs EVERY candidate once (merge tiles, ELL, CMRS), so the
   // sweep walks the allocation sites inside the trial protocol itself —
@@ -425,9 +401,11 @@ TEST(ChunkedSpgemm, SingleChunkDegeneratesToFlat) {
   const CsrD b = medium_matrix(67);
   auto dev = make_clean_device();
   CsrD flat, chunked;
-  core::merge::spgemm(dev, a, b, flat);
+  const auto flat_stats = core::merge::spgemm(dev, a, b, flat);
   const auto stats = core::merge::spgemm_chunked(dev, a, b, chunked);
   EXPECT_EQ(stats.num_chunks, 1);
+  // One chunk is the flat call itself: the same modeled cost, exactly.
+  EXPECT_EQ(stats.modeled_ms(), flat_stats.modeled_ms());
   ASSERT_EQ(chunked.row_offsets, flat.row_offsets);
   ASSERT_EQ(chunked.col, flat.col);
   ASSERT_EQ(std::memcmp(chunked.val.data(), flat.val.data(),
@@ -465,54 +443,6 @@ TEST(ChunkedSpgemm, CompletesWhereFlatOverflowsAndMatchesFlatBitwise) {
   ASSERT_EQ(std::memcmp(c.val.data(), flat.val.data(),
                         flat.val.size() * sizeof(double)),
             0);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive oom-retry tier.
-
-TEST(AdaptiveSpgemm, RetriesChunkedOnActualOom) {
-  const CsrD a = medium_matrix(79, 400, 400, 6000);
-  const CsrD b = medium_matrix(83, 400, 400, 6000);
-
-  auto props = vgpu::gtx_titan();
-  props.global_mem_bytes = 192 * 1024;
-  vgpu::Device small(props);
-  small.fault_injector().disarm();
-
-  // Defeat the up-front estimate tiers so the flat attempt really runs
-  // and really overflows; the driver must catch and retry chunked.
-  core::merge::AdaptiveConfig cfg;
-  cfg.memory_fraction = 1e9;
-  cfg.density_threshold = 1e9;
-  CsrD c;
-  const auto stats = core::merge::spgemm_adaptive(small, a, b, c, cfg);
-  EXPECT_TRUE(stats.used_chunked);
-  EXPECT_FALSE(stats.used_segmented);
-  EXPECT_STREQ(stats.reason, "oom-retry");
-  EXPECT_GT(stats.chunked_stats.num_chunks, 1);
-  EXPECT_EQ(small.memory().in_use(), 0u);
-
-  const CsrD ref = baselines::seq::spgemm(a, b);
-  const auto cmp = sparse::compare_csr(c, ref, 1e-9);
-  EXPECT_TRUE(cmp.equal) << cmp.detail;
-}
-
-TEST(AdaptiveSpgemm, InjectedOomAlsoRetriesChunked) {
-  const CsrD a = medium_matrix(89);
-  const CsrD b = medium_matrix(97);
-  auto dev = make_clean_device();
-  dev.fault_injector().fail_at_allocation(1);  // fires once, then disarms
-
-  core::merge::AdaptiveConfig cfg;
-  cfg.memory_fraction = 1e9;
-  cfg.density_threshold = 1e9;
-  CsrD c;
-  const auto stats = core::merge::spgemm_adaptive(dev, a, b, c, cfg);
-  EXPECT_STREQ(stats.reason, "oom-retry");
-  EXPECT_EQ(dev.memory().in_use(), 0u);
-  const CsrD ref = baselines::seq::spgemm(a, b);
-  const auto cmp = sparse::compare_csr(c, ref, 1e-9);
-  EXPECT_TRUE(cmp.equal) << cmp.detail;
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 // suites.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "baselines/cusplike.hpp"
@@ -12,7 +13,7 @@
 #include "baselines/seq.hpp"
 #include "core/spadd.hpp"
 #include "core/spgemm.hpp"
-#include "core/spgemm_batched.hpp"
+#include "core/spgemm_chunked.hpp"
 #include "core/spmv.hpp"
 #include "sparse/compare.hpp"
 #include "sparse/convert.hpp"
@@ -129,20 +130,31 @@ TEST_P(FuzzTest, AllSpgemmSchemesAgree) {
   ASSERT_EQ(a.num_cols, b.num_rows);
   const auto ref = baselines::seq::spgemm(a, b);
 
-  CsrD c;
-  core::merge::spgemm(dev_, a, b, c);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
+  CsrD c_merge;
+  core::merge::spgemm(dev_, a, b, c_merge);
+  EXPECT_TRUE(sparse::compare_csr(c_merge, ref, 1e-9, 1e-11).equal)
       << regime_name(regime) << " merge";
+  CsrD c;
   baselines::cusplike::spgemm(dev_, a, b, c);
   EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
       << regime_name(regime) << " cusp";
   baselines::rowwise::spgemm(dev_, a, b, c);
   EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
       << regime_name(regime) << " rowwise";
-  core::merge::spgemm_batched(dev_, a, b, c,
-                              baselines::seq::spgemm_num_products(a, b) / 3 + 1);
-  EXPECT_TRUE(sparse::compare_csr(c, ref, 1e-9, 1e-11).equal)
-      << regime_name(regime) << " batched";
+  // Chunked under a budget below the whole footprint (40 bytes per
+  // product plus a floor): at least two chunks, bitwise equal to merge.
+  core::merge::ChunkedConfig cfg;
+  cfg.chunk_bytes = static_cast<std::size_t>(
+      20 * baselines::seq::spgemm_num_products(a, b) + 4096);
+  const auto stats = core::merge::spgemm_chunked(dev_, a, b, c, cfg);
+  EXPECT_GE(stats.num_chunks, 2) << regime_name(regime) << " chunked";
+  EXPECT_EQ(c.row_offsets, c_merge.row_offsets) << regime_name(regime);
+  EXPECT_EQ(c.col, c_merge.col) << regime_name(regime);
+  ASSERT_EQ(c.val.size(), c_merge.val.size()) << regime_name(regime);
+  EXPECT_EQ(std::memcmp(c.val.data(), c_merge.val.data(),
+                        c.val.size() * sizeof(double)),
+            0)
+      << regime_name(regime) << " chunked";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,8 +14,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -517,6 +519,45 @@ TEST(ServeEngine, RetriesOnceOnInjectedDeviceOom) {
   EXPECT_GE(s.retries, 1);
   EXPECT_EQ(s.failed, 0);
   EXPECT_EQ(s.completed, 1);
+}
+
+TEST(ServeEngine, SpgemmLargerThanDeviceMemoryMatchesFlatBitwise) {
+  util::Rng rng(113);
+  const auto a = coo_to_csr(testing::random_coo(rng, 400, 400, 6000));
+  const auto b = coo_to_csr(testing::random_coo(rng, 400, 400, 6000));
+  vgpu::Device big;
+  big.fault_injector().disarm();
+  CsrD ref;
+  core::merge::spgemm(big, a, b, ref);
+
+  // The capacity cap applies at Device construction, so the env must be
+  // set while the engine builds its worker devices; restore any ambient
+  // cap afterwards.
+  const char* ambient = std::getenv("MPS_FAULT_CAPACITY");
+  const std::string saved = ambient != nullptr ? ambient : "";
+  ::setenv("MPS_FAULT_CAPACITY", "196608", 1);  // 192 KiB
+  Engine engine(test_config(/*threads=*/1, /*batch_window=*/1));
+  vgpu::Device small;
+  if (ambient != nullptr) {
+    ::setenv("MPS_FAULT_CAPACITY", saved.c_str(), 1);
+  } else {
+    ::unsetenv("MPS_FAULT_CAPACITY");
+  }
+  small.fault_injector().disarm();
+  CsrD flat;
+  EXPECT_THROW(core::merge::spgemm(small, a, b, flat), vgpu::DeviceOomError)
+      << "the flat intermediate must not fit the engine's devices";
+
+  const auto ha = engine.register_matrix(a);
+  const auto hb = engine.register_matrix(b);
+  const CsrD c = engine.submit_spgemm(ha, hb).get().c;
+  EXPECT_EQ(c.row_offsets, ref.row_offsets);
+  EXPECT_EQ(c.col, ref.col);
+  ASSERT_EQ(c.val.size(), ref.val.size());
+  EXPECT_EQ(std::memcmp(c.val.data(), ref.val.data(),
+                        ref.val.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(engine.stats().failed, 0);
 }
 
 // ---------------------------------------------------------------------------

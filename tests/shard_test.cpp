@@ -362,6 +362,42 @@ TEST(ShardExecOracle, RectangularSpgemmBitwise) {
   EXPECT_TRUE(csr_bitwise_equal(c, c_ref));
 }
 
+TEST(ShardExecOracle, SpgemmSlicesChunkOnSmallDevicesBitwise) {
+  util::Rng rng(127);
+  const auto a =
+      sparse::coo_to_csr(mps::testing::random_coo(rng, 400, 400, 6000));
+  const auto b =
+      sparse::coo_to_csr(mps::testing::random_coo(rng, 400, 400, 6000));
+  vgpu::Device big;
+  big.fault_injector().disarm();
+  sparse::CsrD c_ref;
+  core::merge::spgemm(big, a, b, c_ref);
+
+  // Two devices far too small for either slice's flat intermediate: each
+  // slice must split into chunks, and the second slice's chunks must keep
+  // its non-zero product origin.
+  auto props = vgpu::gtx_titan();
+  props.global_mem_bytes = 192 * 1024;
+  vgpu::Device d0(props);
+  vgpu::Device d1(props);
+  d0.fault_injector().disarm();
+  d1.fault_injector().disarm();
+  const std::vector<vgpu::Device*> ptrs{&d0, &d1};
+  const std::vector<int> ordinals{0, 1};
+  const std::vector<double> weights = uniform_weights(2);
+  sparse::CsrD c;
+  spgemm(a, b, ptrs, ordinals, weights, c);
+  EXPECT_TRUE(csr_bitwise_equal(c, c_ref));
+  for (vgpu::Device* dev : ptrs) {
+    const auto setups = std::count_if(
+        dev->log().begin(), dev->log().end(), [](const vgpu::KernelStats& k) {
+          return k.name == "merge.spgemm_setup";
+        });
+    EXPECT_GT(setups, 1) << "slice ran as one chunk";
+    EXPECT_EQ(dev->memory().in_use(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate shapes.
 
